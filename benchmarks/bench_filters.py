@@ -19,13 +19,14 @@ workload the sweep measures, per cascade spec:
   ordering argument is visible in the data;
 * **wall-clock** — elapsed seconds and reads/s against the baseline.
 
-Runs on the ``bitvector`` backend (the batch-capable software pipeline,
-so the sweep also exercises the driver's cross-read ``filter_batch``
-dispatch).  Results land in ``benchmarks/results/bench/BENCH_filters.json``
-in the unified bench envelope (:mod:`repro.perf.schema`,
-``schema_version`` 3; the bench-specific body lives under ``payload``)
-so future PRs can regress against them.  Pre-envelope v1 files stay
-readable through :func:`repro.perf.schema.load_bench`.
+Runs on the ``bwamem`` backend, whose unfiltered baseline verifies
+every candidate with banded DP; any spec holding a batched stage
+(``sneakysnake``, ``myers``) also exercises the driver's cross-read
+``filter_batch`` dispatch.  Results land in
+``benchmarks/results/bench/BENCH_filters.json`` in the unified bench
+envelope (:mod:`repro.perf.schema`, ``schema_version`` 3; the
+bench-specific body lives under ``payload``) so future PRs can regress
+against them.
 
 Run directly (not via pytest)::
 
@@ -45,7 +46,7 @@ from repro.filters import DEFAULT_CASCADE
 from repro.genome.reference import ReferenceGenome
 from repro.perf.schema import BENCH_SCHEMA_VERSION, bench_envelope, write_bench
 from repro.perf.workloads import build_repeat_rich_workload
-from repro.pipeline.bitvector import BitvectorAligner, BitvectorConfig
+from repro.pipeline.bwamem import BwaMemAligner, BwaMemConfig
 from repro.telemetry import monotonic_s
 
 BENCHMARK = "bench_filters"
@@ -176,9 +177,8 @@ def measure_cascade(
     spec: Tuple[str, ...],
     baseline_key: list,
 ) -> dict:
-    aligner = BitvectorAligner(
-        reference,
-        BitvectorConfig(k=KMER, edit_bound=EDIT_BOUND, filters=spec),
+    aligner = BwaMemAligner(
+        reference, BwaMemConfig(k=KMER, band=EDIT_BOUND, filters=spec)
     )
     elapsed, mapped = timed_align(aligner, reads)
     cascade = aligner.cascade
@@ -230,8 +230,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
           f"{READ_LENGTH} bp with {READ_ERRORS} errors, "
           f"edit_bound={EDIT_BOUND}, k={KMER}")
 
-    baseline_aligner = BitvectorAligner(
-        reference, BitvectorConfig(k=KMER, edit_bound=EDIT_BOUND)
+    baseline_aligner = BwaMemAligner(
+        reference, BwaMemConfig(k=KMER, band=EDIT_BOUND)
     )
     baseline_s, baseline_mapped = timed_align(baseline_aligner, reads)
     baseline_key = mapping_key(baseline_mapped)

@@ -6,23 +6,19 @@ workload (200 kbp genome with planted repeats, 120 x 101 bp reads) it
 measures, end to end:
 
 * **index cache** — cold table build vs. warm :class:`IndexCache` load;
-* **prefilter** — serial throughput with the Myers bit-vector candidate
-  filter off vs. on, plus the reject rate;
+* **prefilter** — serial throughput with the one-stage ``myers``
+  filter cascade off vs. on, plus the reject rate;
 * **sharded scaling** — ``ParallelAligner`` reads/s at each worker count,
   with every sharded run checked bit-identical to the serial
   ``GenAxAligner.align_batch`` mappings;
-* **kernels** — the bitvector backend's scalar reference kernel vs. the
-  batched NumPy lanes, with the batched run checked bit-identical to the
-  scalar one (``mappings_changed`` must be 0) and the window-dedupe
-  counters recorded;
-* **combined** — best configuration (max jobs + prefilter + warm cache).
+* **combined** — best configuration (max jobs + ``myers`` filter + warm
+  cache).
 
 Results land in ``benchmarks/results/bench/BENCH_parallel.json`` in the
 unified bench envelope (:mod:`repro.perf.schema`, ``schema_version`` 3:
 machine fingerprint, workload fingerprint, content-addressed run id; the
 bench-specific body lives under ``payload``) so future PRs can regress
-against them.  Pre-envelope v2 files stay readable through
-:func:`repro.perf.schema.load_bench`.  Wall-clock numbers are
+against them.  Wall-clock numbers are
 machine-dependent — ``machine.cpu_count`` is recorded so a single-core
 CI runner's flat scaling curve is interpretable.
 
@@ -45,7 +41,6 @@ from repro.genome.reference import ReferenceGenome
 from repro.parallel import IndexCache, ParallelAligner
 from repro.perf.schema import BENCH_SCHEMA_VERSION, bench_envelope, write_bench
 from repro.perf.workloads import build_illumina_workload
-from repro.pipeline.bitvector import KERNELS, BitvectorAligner, BitvectorConfig
 from repro.pipeline.genax import GenAxAligner, GenAxConfig
 from repro.seeding.accelerator import SeedingAccelerator
 from repro.telemetry import (
@@ -84,10 +79,8 @@ RESULT_SCHEMA: Dict[str, Optional[Sequence[str]]] = {
                   "serial_off_s", "serial_on_s", "speedup"),
     "serial": ("elapsed_s", "reads_per_s"),
     "scaling": ("jobs", "elapsed_s", "reads_per_s", "identical_to_serial"),
-    "kernels": ("kernel", "elapsed_s", "reads_per_s", "speedup_vs_serial",
-                "mappings_changed"),
     "speedup_max_jobs_vs_1": None,
-    "combined": ("jobs", "prefilter", "elapsed_s", "reads_per_s",
+    "combined": ("jobs", "filters", "elapsed_s", "reads_per_s",
                  "speedup_vs_serial"),
 }
 
@@ -176,54 +169,6 @@ def timed_align(aligner, reads) -> Tuple[float, list]:
     return elapsed, mapped
 
 
-def measure_kernels(
-    reference: ReferenceGenome, reads, serial_s: float
-) -> List[dict]:
-    """Sweep the bitvector backend's kernels (scalar reference vs. batched
-    NumPy lanes).  The scalar run is the concordance baseline: the batched
-    kernel must reproduce its mappings bit-for-bit (``mappings_changed``
-    is the count of rows that differ, and the acceptance bar is 0)."""
-    results: List[dict] = []
-    baseline_key: Optional[list] = None
-    for kernel in ("scalar", "batched"):
-        assert kernel in KERNELS, kernel
-        aligner = BitvectorAligner(
-            reference,
-            BitvectorConfig(k=KMER, edit_bound=EDIT_BOUND, kernel=kernel),
-        )
-        elapsed, mapped = timed_align(aligner, reads)
-        key = mapping_key(mapped)
-        if baseline_key is None:
-            baseline_key = key
-        entry = {
-            "kernel": kernel,
-            "elapsed_s": elapsed,
-            "reads_per_s": len(reads) / elapsed,
-            "speedup_vs_serial": serial_s / elapsed if elapsed > 0 else
-            float("inf"),
-            "mappings_changed": sum(
-                1 for a, b in zip(baseline_key, key) if a != b
-            ),
-        }
-        kstats = aligner.kernel_stats
-        entry["dedupe"] = {
-            "windows_requested": kstats.windows_requested,
-            "windows_fetched": kstats.windows_fetched,
-            "window_dedupe_rate": kstats.window_dedupe_rate,
-            "lanes": kstats.lanes,
-            "kernel_lanes": kstats.kernel_lanes,
-            "max_batch_lanes": kstats.max_batch_lanes,
-        }
-        results.append(entry)
-        print(f"kernel={kernel}: {elapsed:.2f}s "
-              f"({entry['reads_per_s']:.1f} reads/s, "
-              f"{entry['speedup_vs_serial']:.2f}x serial), "
-              f"{entry['mappings_changed']} mappings changed, "
-              f"dedupe {kstats.windows_fetched}/{kstats.windows_requested} "
-              f"windows fetched")
-    return results
-
-
 def capture_telemetry(
     reference: ReferenceGenome,
     config: GenAxConfig,
@@ -283,7 +228,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
         # Prefilter on, still serial: algorithmic win + reject rate.
         pf_aligner = GenAxAligner(
-            reference, config(prefilter=True, cache_dir=cache_dir)
+            reference, config(filters=("myers",), cache_dir=cache_dir)
         )
         pf_s, pf_mapped = timed_align(pf_aligner, reads)
         checked = (pf_aligner.stats.candidates_filtered
@@ -323,25 +268,22 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                   f"({scaling[-1]['reads_per_s']:.1f} reads/s), "
                   f"identical={identical}")
 
-        # Kernel sweep: scalar reference vs batched NumPy bitvector lanes.
-        kernels = measure_kernels(reference, reads, serial_s)
-
-        # Best configuration: max jobs + prefilter + warm cache.
+        # Best configuration: max jobs + myers filter + warm cache.
         best_jobs = max(shape["jobs"])
         combined_aligner = ParallelAligner(
             reference,
-            config(prefilter=True, cache_dir=cache_dir),
+            config(filters=("myers",), cache_dir=cache_dir),
             jobs=best_jobs,
         )
         combined_s, _ = timed_align(combined_aligner, reads)
         combined = {
             "jobs": best_jobs,
-            "prefilter": True,
+            "filters": "myers",
             "elapsed_s": combined_s,
             "reads_per_s": len(reads) / combined_s,
             "speedup_vs_serial": serial_s / combined_s,
         }
-        print(f"combined (jobs={best_jobs}, prefilter, warm cache): "
+        print(f"combined (jobs={best_jobs}, filters=myers, warm cache): "
               f"{combined_s:.2f}s -> {combined['speedup_vs_serial']:.2f}x serial")
 
         # Untimed instrumented pass: stage trace + metric artifacts.
@@ -367,7 +309,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             "prefilter": prefilter,
             "serial": serial,
             "scaling": scaling,
-            "kernels": kernels,
             "speedup_max_jobs_vs_1": (
                 scaling[-1]["reads_per_s"] / scaling[0]["reads_per_s"]
             ),

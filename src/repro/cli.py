@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import warnings
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.align.records import ReadInput
@@ -25,7 +24,6 @@ from repro.genome.fasta import read_fasta, read_fastq, write_fasta, write_fastq
 from repro.genome.reads import ReadSimulator, build_profile_reads, profile_names
 from repro.genome.reference import ReferenceGenome, make_reference
 from repro.genome.variants import simulate_variants
-from repro.pipeline.bitvector import KERNELS, BitvectorConfig
 from repro.pipeline.bwamem import BwaMemConfig
 from repro.pipeline.genax import GenAxConfig
 from repro.pipeline.longread import LongReadConfig
@@ -115,19 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pre-alignment filter cascade: comma-separated registered "
         f"filter names in veto order ({', '.join(filter_names())}) or "
         "'none' to disable; stages share the pipeline's edit budget",
-    )
-    align.add_argument(
-        "--prefilter",
-        action="store_true",
-        help="deprecated: equivalent to '--filters myers' (Myers "
-        "bit-vector pre-alignment filter before SillaX extension)",
-    )
-    align.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default="batched",
-        help="extension kernel for --pipeline bitvector "
-        "(batched NumPy lanes vs. the scalar reference)",
     )
     align.add_argument(
         "--cache-dir",
@@ -248,15 +233,6 @@ def _cmd_align(args: argparse.Namespace) -> int:
             cascade_names = parse_cascade_spec(args.filters)
         except ValueError as exc:
             raise SystemExit(f"--filters: {exc}")
-    if args.prefilter:
-        # Deprecation shim: the old single-filter flag is the one-stage
-        # Myers cascade (GenAxConfig performs the same mapping, so the
-        # output is bit-identical to the pre-cascade pipeline).
-        warnings.warn(
-            "--prefilter is deprecated; use --filters myers",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     if args.pipeline == "genax":
         config: object = GenAxConfig(
             k=args.kmer,
@@ -264,27 +240,16 @@ def _cmd_align(args: argparse.Namespace) -> int:
             segment_count=args.segments,
             min_score=args.min_score,
             filters=cascade_names,
-            prefilter=args.prefilter,
             jobs=args.jobs,
             cache_dir=args.cache_dir,
         )
     else:
-        if args.prefilter or args.cache_dir:
+        if args.cache_dir:
             print(
-                "warning: --prefilter/--cache-dir only apply to the "
-                "genax pipeline",
+                "warning: --cache-dir only applies to the genax pipeline",
                 file=sys.stderr,
             )
-        if args.pipeline == "bitvector":
-            config = BitvectorConfig(
-                k=args.kmer,
-                edit_bound=args.edit_bound,
-                min_score=args.min_score,
-                kernel=args.kernel,
-                filters=cascade_names,
-                jobs=args.jobs,
-            )
-        elif args.pipeline == "longread":
+        if args.pipeline == "longread":
             if cascade_names:
                 print(
                     "warning: --filters does not apply to the longread "
@@ -327,10 +292,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
             f"rescued, {pair_stats.proper_pairs}/{pair_stats.pairs_total} "
             "pairs proper"
         )
-    if args.pipeline == "genax" and args.prefilter and cascade_names is None:
-        checked = stats.candidates_filtered + stats.candidates_survived
-        suffix += f", prefilter rejected {stats.candidates_filtered}/{checked}"
-    elif cascade_names:
+    if cascade_names:
         checked = stats.candidates_filtered + stats.candidates_survived
         suffix += f", filters rejected {stats.candidates_filtered}/{checked}"
     print(
@@ -412,7 +374,6 @@ def _export_telemetry(
         collect_counters,
         publish_cascade,
         publish_counters,
-        publish_kernel,
         publish_pairs,
     )
 
@@ -420,10 +381,6 @@ def _export_telemetry(
     publish_counters(telemetry.metrics, counters, args.pipeline)
     publish_cascade(
         telemetry.metrics, getattr(aligner, "cascade", None), args.pipeline
-    )
-    publish_kernel(
-        telemetry.metrics, getattr(aligner, "kernel_stats", None),
-        args.pipeline,
     )
     publish_pairs(telemetry.metrics, pair_stats, args.pipeline)
     if args.profile:

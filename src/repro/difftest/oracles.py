@@ -474,7 +474,7 @@ def _semiglobal_min_dp(pattern: str, text: str) -> int:
 
 
 def _fast_bitvector_verify(case: DiffCase) -> Output:
-    """The bitvector backend's verify path: batched gate, banded score."""
+    """The batched ``myers`` gate, then the banded score of survivors."""
     k = case.param("k")
     distance = int(
         batch_semiglobal_min([case.query], [case.reference])[0]

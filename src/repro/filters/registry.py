@@ -13,8 +13,7 @@ default, :data:`DEFAULT_CASCADE`, runs cheapest-first: the base-count
 ``shouldered`` veto, then the vectorized ``sneakysnake`` coverage bound,
 then the exact ``myers`` bit-vector scan — each stage a tighter (and
 costlier) lower bound on the same semi-global edit distance, so the
-composition is lossless whenever its shared edit budget is
-(:func:`repro.align.prefilter.lossless_threshold`).
+earlier stages never veto a candidate the ``myers`` stage would admit.
 
 Run ``python -m repro.filters`` to print the README filter table;
 ``tests/analysis/test_docs_sync.py`` asserts the README copy matches.
@@ -157,9 +156,10 @@ MYERS_FILTER = register_filter(
         name="myers",
         summary=(
             "Myers bit-vector semi-global scan: the exact "
-            "within-budget membership test (the old `--prefilter`)"
+            "within-budget membership test (NumPy lanes from 64 "
+            "candidates per dispatch)"
         ),
-        batched=False,
+        batched=True,
         build=MyersCandidateFilter,
     )
 )

@@ -3,7 +3,7 @@
 Two modes, matching how the two metric families behave:
 
 * ``work-count`` — the hard CI gate.  Work counters (candidates checked,
-  extensions, cascade rejects, kernel lanes, modelled cycles) are
+  extensions, cascade rejects, modelled cycles) are
   deterministic for a fixed workload, so the default tolerance is 1.0:
   *any* increase over the baseline fails, naming the metric, the cell
   (backend/jobs/profile) and the baseline run id.  Quality counters

@@ -5,12 +5,11 @@
 (:mod:`repro.perf.schema`).  Each cell records two metric families:
 
 * ``work`` — deterministic work counts (candidates checked, extensions,
-  modelled cycles, per-stage cascade counters, kernel dedupe lanes) from
-  the backend's own hardware counters
-  (:func:`repro.pipeline.counters.collect_counters`, the cascade report
-  and :class:`~repro.pipeline.bitvector.BitvectorKernelStats`).  With a
-  fixed workload these are byte-identical across re-runs and machines —
-  the hard CI gating signal.
+  modelled cycles, per-stage cascade counters) from the backend's own
+  hardware counters (:func:`repro.pipeline.counters.collect_counters`
+  and the cascade report).  With a fixed workload these are
+  byte-identical across re-runs and machines — the hard CI gating
+  signal.
 * ``wall`` — elapsed seconds and reads/s.  Machine- and noise-dependent;
   gated only in the nightly wall-clock mode, inside a tolerance band.
 
@@ -117,7 +116,7 @@ def cell_work_metrics(aligner: Any) -> Dict[str, int]:
     groups degrade to zeros for backends that do not model them — the
     RuntimeWarning is suppressed here because zeros are expected, not
     surprising, in a cross-backend sweep).  Per-stage cascade counters
-    and kernel dedupe lanes are added when the aligner exposes them.
+    are added when the aligner exposes a cascade.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -138,13 +137,6 @@ def cell_work_metrics(aligner: Any) -> Dict[str, int]:
             metrics[f"{prefix}_rejected"] = stage.rejected
             metrics[f"{prefix}_false_accepts"] = stage.false_accepts
             metrics[f"{prefix}_cycles"] = stage.cycles
-    kernel = getattr(aligner, "kernel_stats", None)
-    if kernel is not None:
-        metrics["kernel_batches"] = kernel.batches
-        metrics["kernel_lanes"] = kernel.lanes
-        metrics["kernel_lanes_scored"] = kernel.kernel_lanes
-        metrics["kernel_windows_requested"] = kernel.windows_requested
-        metrics["kernel_windows_fetched"] = kernel.windows_fetched
     return metrics
 
 

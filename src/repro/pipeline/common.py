@@ -28,29 +28,20 @@ class Candidate:
     seed_length: int  # longest seed supporting this placement (for ordering)
 
 
-def window_span(
-    candidate: Candidate, read_length: int, slack: int
-) -> Tuple[int, int]:
-    """``(start, length)`` of the reference window verifying *candidate*.
-
-    Every verification stage — pre-alignment filters, banded DP, the
-    bit-parallel kernels — inspects the same window shape: the read's
-    length plus a slack of insertions the alignment may absorb (the edit
-    bound or DP band).  The span is the canonical identity of that
-    window; the batched kernels key their fetch-dedupe caches on it.
-    """
-    return candidate.window_start, read_length + slack
-
-
 def fetch_window(
     reference: ReferenceGenome,
     candidate: Candidate,
     read_length: int,
     slack: int,
 ) -> str:
-    """Fetch the reference window named by :func:`window_span`."""
-    start, length = window_span(candidate, read_length, slack)
-    return reference.fetch(start, start + length)
+    """The reference window verifying *candidate*.
+
+    Every verification stage — pre-alignment filters and banded DP —
+    inspects the same window shape: the read's length plus a slack of
+    insertions the alignment may absorb (the edit bound or DP band).
+    """
+    start = candidate.window_start
+    return reference.fetch(start, start + read_length + slack)
 
 
 def candidates_from_seeds(

@@ -14,7 +14,6 @@ from typing import Dict, Optional, Protocol
 
 from repro.align.records import AlignmentStats
 from repro.filters import FilterCascade
-from repro.pipeline.bitvector import BitvectorKernelStats
 from repro.pipeline.pairs import PairStats
 from repro.seeding.accelerator import SeedingStats
 from repro.sillax.lane import LaneStats
@@ -230,51 +229,6 @@ def publish_cascade(
             f"{prefix}_reject_fraction",
             f"{stage_name} stage: fraction of checked candidates vetoed",
         ).set_max(stage.reject_fraction)
-
-
-def publish_kernel(
-    registry: MetricRegistry,
-    kernel: Optional[BitvectorKernelStats],
-    backend: str,
-) -> None:
-    """Publish batch-kernel dedupe counters into a registry.
-
-    One counter per field — ``<backend>_kernel_lanes`` vs.
-    ``_kernel_lanes_scored`` is the in-batch deduplication story, and
-    ``_windows_requested`` vs. ``_windows_fetched`` is the window-fetch
-    dedupe — plus a ``_window_dedupe_rate`` gauge.  No-op for backends
-    without a batch kernel.
-    """
-    if kernel is None:
-        return
-    prefix = f"{backend}_kernel"
-    fields = (
-        ("batches", kernel.batches, "extend_batch dispatches"),
-        ("lanes", kernel.lanes, "(read, window) verification jobs received"),
-        (
-            "lanes_scored",
-            kernel.kernel_lanes,
-            "lanes actually scored after in-batch deduplication",
-        ),
-        (
-            "windows_requested",
-            kernel.windows_requested,
-            "window fetches the lanes implied",
-        ),
-        (
-            "windows_fetched",
-            kernel.windows_fetched,
-            "unique windows fetched and encoded",
-        ),
-    )
-    for field, value, help_text in fields:
-        registry.counter(
-            f"{prefix}_{field}", f"{backend} batch kernel: {help_text}"
-        ).inc(value)
-    registry.gauge(
-        f"{prefix}_window_dedupe_rate",
-        f"{backend} batch kernel: fraction of window fetches deduplicated",
-    ).set_max(kernel.window_dedupe_rate)
 
 
 def publish_pairs(

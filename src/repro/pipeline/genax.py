@@ -23,14 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.align.prefilter import PrefilterStats
 from repro.align.records import (
     AlignmentStats,
     MappedRead,
     ReadInput,
 )
 from repro.align.scoring import BWA_MEM_SCHEME, ScoringScheme
-from repro.filters import FilterCascade, MyersCandidateFilter, build_cascade
+from repro.filters import FilterCascade, build_cascade
 from repro.genome.reference import ReferenceGenome
 from repro.pipeline.common import Candidate, Extension
 from repro.pipeline.stages import PipelineDriver, StageSet
@@ -61,14 +60,10 @@ class GenAxConfig:
     scheme: ScoringScheme = field(default_factory=lambda: BWA_MEM_SCHEME)
     # Pre-alignment filter cascade: an ordered tuple of registered filter
     # names (repro.filters.registry) vetoing candidate windows with no
-    # semi-global placement of the read within ``prefilter_k`` edits
-    # (None -> ``edit_bound``, the SillaX budget) before the
-    # cycle-accurate lane runs.  ``None`` defers to the legacy
-    # ``prefilter`` flag below, which maps onto the one-stage ("myers",)
-    # cascade.
+    # semi-global placement of the read within ``edit_bound`` edits (the
+    # SillaX budget) before the cycle-accurate lane runs.  None/()
+    # disables filtering (the pinned default).
     filters: Optional[Tuple[str, ...]] = None
-    prefilter: bool = False
-    prefilter_k: Optional[int] = None
     # Shard-parallel driver knobs (consumed by repro.parallel.ParallelAligner).
     jobs: int = 1
     # Persist built index tables keyed by (sequence, k, segments) so
@@ -182,16 +177,10 @@ class GenAxAligner:
             self.config.scheme,
             self.config.sillax_lanes,
         )
-        filter_names = self.config.filters
-        if filter_names is None and self.config.prefilter:
-            # Legacy single-filter flag: the one-stage Myers cascade.
-            filter_names = ("myers",)
         self._cascade = build_cascade(
-            filter_names or (),
+            self.config.filters or (),
             reference,
-            self.config.prefilter_k
-            if self.config.prefilter_k is not None
-            else self.config.edit_bound,
+            self.config.edit_bound,
             self.config.edit_bound,
         )
         self._driver = PipelineDriver(
@@ -223,15 +212,6 @@ class GenAxAligner:
     def cascade(self) -> Optional[FilterCascade]:
         """The installed pre-alignment cascade (None when disabled)."""
         return self._cascade
-
-    @property
-    def prefilter_stats(self) -> Optional[PrefilterStats]:
-        """The Myers stage's own counters (None when no Myers stage runs)."""
-        if self._cascade is not None:
-            for stage in self._cascade.stages:
-                if isinstance(stage, MyersCandidateFilter):
-                    return stage.stats
-        return None
 
     def align_read(self, name: str, sequence: str) -> MappedRead:
         """Map one read through the accelerator."""

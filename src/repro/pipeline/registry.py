@@ -32,7 +32,6 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.align.records import AlignmentStats, MappedRead
 from repro.genome.reference import ReferenceGenome
-from repro.pipeline.bitvector import BitvectorAligner, BitvectorConfig
 from repro.pipeline.bwamem import BwaMemAligner, BwaMemConfig
 from repro.pipeline.genax import GenAxAligner, GenAxConfig
 from repro.pipeline.longread import LongReadAligner, LongReadConfig
@@ -220,25 +219,6 @@ def _collect_bwamem(aligner: PipelineBackend) -> BackendRunStats:
     return BackendRunStats(backend="bwamem", alignment=aligner.stats)
 
 
-def _prepare_bitvector(
-    reference: ReferenceGenome, config: BitvectorConfig
-) -> SharedTables:
-    return BitvectorAligner.build_tables(reference, config.k)
-
-
-def _build_bitvector(
-    reference: ReferenceGenome,
-    config: BitvectorConfig,
-    shared: Optional[SharedTables],
-) -> BitvectorAligner:
-    return BitvectorAligner(reference, config, tables=shared)
-
-
-def _collect_bitvector(aligner: PipelineBackend) -> BackendRunStats:
-    assert isinstance(aligner, BitvectorAligner)
-    return BackendRunStats(backend="bitvector", alignment=aligner.stats)
-
-
 def _prepare_longread(
     reference: ReferenceGenome, config: LongReadConfig
 ) -> SharedTables:
@@ -285,22 +265,6 @@ BWAMEM_BACKEND = register_backend(
         prepare=_prepare_bwamem,
         build=_build_bwamem,
         collect=_collect_bwamem,
-    )
-)
-
-BITVECTOR_BACKEND = register_backend(
-    BackendSpec(
-        name="bitvector",
-        summary=(
-            "the vectorized software pipeline: batched bit-parallel Myers "
-            "verification (NumPy, cross-read lanes) gating banded "
-            "traceback for the few survivors"
-        ),
-        config_type=BitvectorConfig,
-        default_config=BitvectorConfig,
-        prepare=_prepare_bitvector,
-        build=_build_bitvector,
-        collect=_collect_bitvector,
     )
 )
 

@@ -294,7 +294,6 @@ def render_profile(registry: MetricRegistry, elapsed_s: float) -> str:
     if work:
         lines.append("work: " + ", ".join(work))
     lines.extend(_render_filter_stages(registry))
-    lines.extend(_render_kernel_dedupe(registry))
     return "\n".join(lines)
 
 
@@ -303,11 +302,6 @@ def render_profile(registry: MetricRegistry, elapsed_s: float) -> str:
 _FILTER_METRIC_RE = re.compile(
     r"^(?P<backend>[a-z0-9]+)_filter_(?P<stage>\w+?)_"
     r"(?P<field>checked|rejected|false_accepts|cycles|reject_fraction)$"
-)
-_KERNEL_METRIC_RE = re.compile(
-    r"^(?P<backend>[a-z0-9]+)_kernel_"
-    r"(?P<field>batches|lanes|lanes_scored|windows_requested|"
-    r"windows_fetched|window_dedupe_rate)$"
 )
 
 
@@ -342,34 +336,5 @@ def _render_filter_stages(registry: MetricRegistry) -> List[str]:
             f"{backend + '/' + stage:<24} {int(checked):>10} "
             f"{int(rejected):>10} {int(fields.get('false_accepts', 0)):>10} "
             f"{reject_fraction:>6.1%}"
-        )
-    return lines
-
-
-def _render_kernel_dedupe(registry: MetricRegistry) -> List[str]:
-    """Batch-kernel dedupe summary lines for the ``--profile`` table."""
-    kernels: Dict[str, Dict[str, float]] = {}
-    for metric in registry.metrics():
-        match = _KERNEL_METRIC_RE.match(metric.name)
-        if match is None or not isinstance(metric, (Counter, Gauge)):
-            continue
-        kernels.setdefault(match.group("backend"), {})[
-            match.group("field")
-        ] = float(metric.value)
-    lines: List[str] = []
-    for backend in sorted(kernels):
-        fields = kernels[backend]
-        requested = fields.get("windows_requested", 0.0)
-        fetched = fields.get("windows_fetched", 0.0)
-        dedupe = fields.get(
-            "window_dedupe_rate",
-            1.0 - fetched / requested if requested else 0.0,
-        )
-        lines.append(
-            f"kernel[{backend}]: {int(fields.get('batches', 0))} batches, "
-            f"{int(fields.get('lanes_scored', 0))}/"
-            f"{int(fields.get('lanes', 0))} lanes scored, "
-            f"{int(fetched)}/{int(requested)} windows fetched "
-            f"({dedupe:.1%} deduped)"
         )
     return lines

@@ -165,6 +165,32 @@ class TestMyers:
             within = semiglobal_distance(query, text) <= max_edits
             assert admitted == within, (query, text, max_edits)
 
+    @pytest.mark.parametrize("lanes", [8, 96])
+    def test_batch_verdicts_match_scalar(self, lanes):
+        # Below and above BATCH_MIN_LANES, with ragged lengths and some
+        # reads the 2-bit batch codec cannot encode.
+        cases = list(random_cases(seed=106, count=lanes))
+        texts = [text for _, text in cases]
+        reference = ReferenceGenome("".join(texts), name="batch-test")
+        stage = MyersCandidateFilter(reference, 2, 5)
+        jobs, offset = [], 0
+        for index, (query, text) in enumerate(cases):
+            if index % 5 == 0:
+                query = "N" + query[1:]
+            jobs.append(
+                (query, Candidate(offset, reverse=False, seed_length=len(query)))
+            )
+            offset += len(text)
+        batch_stats, scalar_stats = AlignmentStats(), AlignmentStats()
+        batched = stage.admit_batch(jobs, batch_stats)
+        scalar = [
+            stage.admit(query, candidate, scalar_stats)
+            for query, candidate in jobs
+        ]
+        assert batched == scalar
+        assert True in batched and False in batched
+        assert batch_stats == scalar_stats
+
 
 class TestCycleCharging:
     @pytest.mark.parametrize(

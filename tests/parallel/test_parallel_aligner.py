@@ -143,20 +143,33 @@ class TestPrefilterMerging:
     def test_merged_prefilter_stats_match_serial(
         self, small_reference, batch
     ):
-        config = GenAxConfig(prefilter=True, **CONFIG)
+        config = GenAxConfig(filters=("myers",), **CONFIG)
         serial = GenAxAligner(small_reference, config)
         serial.align_batch(batch)
         parallel = ParallelAligner(small_reference, config, jobs=2)
         parallel.align_batch(batch)
-        assert parallel.prefilter_stats == serial.prefilter_stats
-        assert parallel.prefilter_stats.candidates_checked > 0
+        for field in (
+            "candidates_filtered", "candidates_survived", "prefilter_cycles"
+        ):
+            assert getattr(parallel.stats, field) == getattr(
+                serial.stats, field
+            ), field
+        (name, myers), = serial.cascade.report()
+        assert name == "myers"
+        assert myers.checked == (
+            parallel.stats.candidates_filtered
+            + parallel.stats.candidates_survived
+        ) > 0
+        assert myers.rejected == parallel.stats.candidates_filtered
 
     def test_prefilter_stats_none_when_disabled(self, small_reference, batch):
         parallel = ParallelAligner(
             small_reference, GenAxConfig(**CONFIG), jobs=2
         )
         parallel.align_batch(batch)
-        assert parallel.prefilter_stats is None
+        assert parallel.stats.candidates_filtered == 0
+        assert parallel.stats.candidates_survived == 0
+        assert parallel.stats.prefilter_cycles == 0
 
 
 class TestDriverSurface:

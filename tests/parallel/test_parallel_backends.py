@@ -69,7 +69,7 @@ class TestBwaMemSharding:
         parallel.align_batch(batch)
         assert parallel.lane_stats.extensions == 0
         assert parallel.seeding_stats.reads_processed == 0
-        assert parallel.prefilter_stats is None
+        assert parallel.stats.candidates_filtered == 0
 
 
 class TestBackendResolution:

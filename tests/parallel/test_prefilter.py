@@ -1,13 +1,15 @@
-"""Tests for the Myers pre-alignment filter and its pipeline integration."""
+"""Tests for the Myers pre-alignment gate and its pipeline integration.
+
+The gate is the cascade's ``myers`` stage; its counters are the
+cascade's per-stage :class:`~repro.filters.FilterStageStats`.
+"""
 
 import pytest
 
-from repro.align.prefilter import (
-    MyersPrefilter,
-    PrefilterStats,
-    lossless_threshold,
-)
-from repro.align.scoring import BWA_MEM_SCHEME, ScoringScheme
+from repro.align.records import AlignmentStats
+from repro.filters import FilterStageStats, MyersCandidateFilter, build_cascade
+from repro.genome.reference import ReferenceGenome
+from repro.pipeline.common import Candidate
 from repro.pipeline.genax import GenAxAligner, GenAxConfig
 
 CONFIG = dict(edit_bound=12, segment_count=4)
@@ -21,66 +23,68 @@ def mapping_key(mapped):
     ]
 
 
+class MyersGate:
+    """A one-stage ``myers`` cascade over a reference that *is* the window."""
+
+    def __init__(self, max_edits, window, read_length):
+        reference = ReferenceGenome(window, name="gate-test")
+        slack = len(window) - read_length
+        self.cascade = build_cascade(("myers",), reference, max_edits, slack)
+        self.alignment = AlignmentStats()
+
+    @property
+    def stats(self):
+        (__, stage), = self.cascade.report()
+        return stage
+
+    def survives(self, read):
+        candidate = Candidate(0, reverse=False, seed_length=len(read))
+        return self.cascade.admit(read, candidate, self.alignment)
+
+
+def survives(max_edits, read, window):
+    return MyersGate(max_edits, window, len(read)).survives(read)
+
+
 class TestMyersPrefilter:
     def test_exact_window_survives(self):
-        prefilter = MyersPrefilter(max_edits=0)
-        assert prefilter.survives("ACGTACGT", "TTACGTACGTTT")
-        assert prefilter.stats.candidates_checked == 1
-        assert prefilter.stats.candidates_rejected == 0
-        assert prefilter.stats.candidates_survived == 1
+        gate = MyersGate(0, "TTACGTACGTTT", 8)
+        assert gate.survives("ACGTACGT")
+        assert gate.stats.checked == 1
+        assert gate.stats.rejected == 0
+        assert gate.stats.survived == 1
 
     def test_hopeless_window_rejected(self):
-        prefilter = MyersPrefilter(max_edits=1)
         window = "T" * 20
-        assert not prefilter.survives("ACAGACAG", window)
-        assert prefilter.stats.candidates_rejected == 1
-        assert prefilter.stats.cycles == len(window)
+        gate = MyersGate(1, window, 8)
+        assert not gate.survives("ACAGACAG")
+        assert gate.stats.rejected == 1
+        assert gate.stats.cycles == len(window)
+        assert gate.alignment.prefilter_cycles == len(window)
 
     def test_edit_budget_boundary(self):
         read = "AAAACCCC"
         window = "GGAAAACTCCGG"  # one substitution inside the best placement
-        assert not MyersPrefilter(max_edits=0).survives(read, window)
-        assert MyersPrefilter(max_edits=1).survives(read, window)
+        assert not survives(0, read, window)
+        assert survives(1, read, window)
 
     def test_reject_fraction(self):
-        prefilter = MyersPrefilter(max_edits=0)
-        prefilter.survives("ACGT", "ACGT")
-        prefilter.survives("ACGT", "TTTT")
-        assert prefilter.stats.reject_fraction == pytest.approx(0.5)
-        assert PrefilterStats().reject_fraction == 0.0
+        gate = MyersGate(0, "ACGTTTTT", 4)
+        assert gate.survives("ACGT")
+        assert not gate.survives("GGGG")
+        assert gate.stats.reject_fraction == pytest.approx(0.5)
+        assert FilterStageStats().reject_fraction == 0.0
 
     def test_stats_merge(self):
-        left = PrefilterStats(candidates_checked=4, candidates_rejected=1,
-                              cycles=100)
-        right = PrefilterStats(candidates_checked=2, candidates_rejected=2,
-                               cycles=40)
+        left = FilterStageStats(checked=4, rejected=1, cycles=100)
+        right = FilterStageStats(checked=2, rejected=2, cycles=40)
         left.merge(right)
-        assert left == PrefilterStats(candidates_checked=6,
-                                      candidates_rejected=3, cycles=140)
-        assert left.candidates_survived == 3
+        assert left == FilterStageStats(checked=6, rejected=3, cycles=140)
+        assert left.survived == 3
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
-            MyersPrefilter(max_edits=-1)
-
-
-class TestLosslessThreshold:
-    def test_formula(self):
-        scheme = ScoringScheme(match=2, substitution=-4, gap_open=-6,
-                               gap_extend=-1)
-        # unit = min(2, 1) = 1; (2*100 - 30) // 1 = 170.
-        assert lossless_threshold(100, scheme, 30) == 170
-
-    def test_bwa_scheme(self):
-        expected = (
-            BWA_MEM_SCHEME.match * 101 - 30
-        ) // min(BWA_MEM_SCHEME.match, -BWA_MEM_SCHEME.gap_extend)
-        assert lossless_threshold(101, BWA_MEM_SCHEME, 30) == expected
-
-    def test_perfect_score_requires_zero_edits(self):
-        scheme = ScoringScheme(match=1, substitution=-4, gap_open=-6,
-                               gap_extend=-1)
-        assert lossless_threshold(50, scheme, 50) == 0
+            MyersCandidateFilter(ReferenceGenome("ACGT", name="t"), -1, 0)
 
 
 class TestPipelineIntegration:
@@ -95,47 +99,28 @@ class TestPipelineIntegration:
     ):
         batch, __, plain = baseline
         aligner = GenAxAligner(
-            small_reference, GenAxConfig(prefilter=True, **CONFIG)
+            small_reference, GenAxConfig(filters=("myers",), **CONFIG)
         )
         aligner.align_batch(batch)
         stats = aligner.stats
+        (__, myers), = aligner.cascade.report()
         assert stats.candidates_filtered + stats.candidates_survived > 0
-        assert stats.candidates_filtered == (
-            aligner.prefilter_stats.candidates_rejected
-        )
-        assert stats.candidates_survived == (
-            aligner.prefilter_stats.candidates_survived
-        )
+        assert stats.candidates_filtered == myers.rejected
+        assert stats.candidates_survived == myers.survived
         # Only survivors reach the SillaX lanes.
         assert aligner.lane_stats.extensions == stats.candidates_survived
         assert plain.lane_stats.extensions == (
             stats.candidates_filtered + stats.candidates_survived
         )
-        assert stats.prefilter_cycles > 0
-
-    def test_lossless_threshold_preserves_mappings(
-        self, small_reference, baseline
-    ):
-        """With the provably-safe budget, the filter never changes output."""
-        batch, plain_mapped, plain = baseline
-        threshold = lossless_threshold(
-            len(batch[0][1]), plain.config.scheme, plain.config.min_score
-        )
-        aligner = GenAxAligner(
-            small_reference,
-            GenAxConfig(prefilter=True, prefilter_k=threshold, **CONFIG),
-        )
-        assert mapping_key(aligner.align_batch(batch)) == mapping_key(
-            plain_mapped
-        )
+        assert stats.prefilter_cycles == myers.cycles > 0
 
     def test_default_threshold_preserves_mappings_on_workload(
         self, small_reference, baseline
     ):
-        """Simulated reads stay within the edit bound, so defaults agree too."""
+        """Simulated reads stay within the edit bound, so the gate agrees."""
         batch, plain_mapped, __ = baseline
         aligner = GenAxAligner(
-            small_reference, GenAxConfig(prefilter=True, **CONFIG)
+            small_reference, GenAxConfig(filters=("myers",), **CONFIG)
         )
         assert mapping_key(aligner.align_batch(batch)) == mapping_key(
             plain_mapped
@@ -143,4 +128,4 @@ class TestPipelineIntegration:
 
     def test_prefilter_stats_none_when_disabled(self, small_reference):
         aligner = GenAxAligner(small_reference, GenAxConfig(**CONFIG))
-        assert aligner.prefilter_stats is None
+        assert aligner.cascade is None

@@ -8,7 +8,7 @@ from repro.perf.matrix import MatrixSpec, cell_key, run_matrix
 TINY_OVERRIDES = {"repeat-rich": {"repeat_copies": 12, "reads": 4}}
 
 
-def tiny_spec(backends=("bitvector",)):
+def tiny_spec(backends=("bwamem",)):
     return MatrixSpec(
         backends=tuple(backends),
         jobs=(1,),
@@ -28,7 +28,7 @@ class TestEnvelope:
         assert tiny_result["quick"] is True
         cells = tiny_result["payload"]["cells"]
         assert [cell_key(c) for c in cells] == [
-            ("bitvector", 1, "repeat-rich")
+            ("bwamem", 1, "repeat-rich")
         ]
 
     def test_overrides_recorded_in_workload_params(self, tiny_result):
@@ -46,8 +46,6 @@ class TestEnvelope:
         assert "reads_mapped" in work
         # The default cascade ran: per-stage counters are present.
         assert any(k.startswith("filter_") for k in work)
-        # The bitvector backend exposes kernel dedupe counters.
-        assert "kernel_windows_requested" in work
         assert cell["wall"]["elapsed_s"] > 0
 
 
@@ -88,7 +86,7 @@ class TestValidationAndGuard:
 
     def test_zero_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
-            MatrixSpec(("bitvector",), (0,), ("repeat-rich",), True).validate()
+            MatrixSpec(("bwamem",), (0,), ("repeat-rich",), True).validate()
 
     def test_out_path_must_be_results_bench(self, tmp_path):
         with pytest.raises(ValueError, match="results/bench"):

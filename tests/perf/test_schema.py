@@ -83,40 +83,6 @@ class TestRoundTrip:
 
 
 class TestLegacyLoad:
-    def test_v1_upgrades_in_memory(self, tmp_path):
-        legacy = {
-            "schema_version": 1,
-            "benchmark": "bench_filters",
-            "quick": False,
-            "workload": {"repeat_copies": 400},
-            "baseline": {"elapsed_s": 1.0},
-            "acceptance": {"passed": True},
-        }
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(legacy))
-        loaded = load_bench(path)
-        assert loaded["schema_version"] == BENCH_SCHEMA_VERSION
-        assert loaded["legacy_schema_version"] == 1
-        assert loaded["payload"]["acceptance"] == {"passed": True}
-        assert loaded["workload"] == {"repeat_copies": 400}
-        assert loaded["run_id"]
-
-    def test_v2_keeps_machine_section(self, tmp_path):
-        legacy = {
-            "schema_version": 2,
-            "benchmark": "bench_parallel_scaling",
-            "quick": True,
-            "machine": {"cpu_count": 4, "start_method": "fork"},
-            "workload": {"genome_bp": 50_000},
-            "serial": {"elapsed_s": 2.0},
-        }
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(legacy))
-        loaded = load_bench(path)
-        assert loaded["legacy_schema_version"] == 2
-        assert loaded["machine"] == {"cpu_count": 4, "start_method": "fork"}
-        assert loaded["payload"]["serial"] == {"elapsed_s": 2.0}
-
     def test_committed_bench_files_load(self):
         from pathlib import Path
 

@@ -4,8 +4,10 @@ The staged-pipeline refactor (pipeline/stages.py + registry.py) promised
 bit-identical output for every backend.  "Bit-identical to what?" is
 answered here: the mappings and counter snapshots of the *pre-refactor*
 aligners on the standard simulated fixture set were serialized to
-``tests/pipeline/goldens/<backend>.json`` before the refactor landed, and
+``tests/pipeline/goldens/<name>.json`` before the refactor landed, and
 ``test_backend_goldens.py`` replays every registered backend against them.
+``myers-gate`` is ``bwamem`` behind the one-stage ``myers`` cascade; its
+mappings are those of the former ``bitvector`` backend, byte for byte.
 
 Regenerate (only when an intentional output change is reviewed):
 
@@ -95,8 +97,8 @@ def seeding_stats_dict(seeding: Any) -> Dict[str, Any]:
     }
 
 
-def load_golden(backend: str) -> Dict[str, Any]:
-    path = GOLDEN_DIR / f"{backend}.json"
+def load_golden(name: str) -> Dict[str, Any]:
+    path = GOLDEN_DIR / f"{name}.json"
     with open(path) as handle:
         data: Dict[str, Any] = json.load(handle)
     return data
@@ -135,15 +137,18 @@ def _snapshot_bwamem() -> Dict[str, Any]:
     }
 
 
-def _snapshot_bitvector() -> Dict[str, Any]:
-    from repro.pipeline.bitvector import BitvectorAligner, BitvectorConfig
+def _snapshot_bwamem_myers() -> Dict[str, Any]:
+    from repro.pipeline.bwamem import BwaMemAligner, BwaMemConfig
 
     reference = fixture_reference()
     batch = fixture_batch(reference)
-    aligner = BitvectorAligner(reference, BitvectorConfig(edit_bound=EDIT_BOUND))
+    aligner = BwaMemAligner(
+        reference, BwaMemConfig(band=EDIT_BOUND, filters=("myers",))
+    )
     mapped = aligner.align_batch(batch)
     return {
-        "backend": "bitvector",
+        "backend": "bwamem",
+        "filters": ["myers"],
         "mappings": mapping_rows(mapped),
         "alignment_stats": alignment_stats_dict(aligner.stats),
     }
@@ -165,13 +170,13 @@ def _snapshot_longread() -> Dict[str, Any]:
 
 def regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for snapshot in (
-        _snapshot_genax(),
-        _snapshot_bwamem(),
-        _snapshot_bitvector(),
-        _snapshot_longread(),
+    for name, snapshot in (
+        ("genax", _snapshot_genax()),
+        ("bwamem", _snapshot_bwamem()),
+        ("myers-gate", _snapshot_bwamem_myers()),
+        ("longread", _snapshot_longread()),
     ):
-        path = GOLDEN_DIR / f"{snapshot['backend']}.json"
+        path = GOLDEN_DIR / f"{name}.json"
         with open(path, "w") as handle:
             json.dump(snapshot, handle, indent=1, sort_keys=True)
             handle.write("\n")

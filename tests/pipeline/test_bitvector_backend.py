@@ -1,16 +1,15 @@
-"""Tests for the bitvector backend and the driver's batch dispatch path.
+"""Tests for the driver's batch dispatch paths.
 
-Three contracts:
+Two contracts:
 
-* the batched NumPy kernel and the scalar reference kernel produce
-  bit-identical mappings *and* bit-identical ``AlignmentStats`` (the
-  dedupe/lane bookkeeping lives in the engine-level
-  ``BitvectorKernelStats``, never in the shared counter surface);
-* for every registered backend, the driver's batch dispatch order and
-  the per-candidate fallback order produce bit-identical
-  ``MappedRead``s — batching is a scheduling choice, not a semantic one;
-* the window/lane dedupe counters prove their rates on a crafted
-  duplicate-heavy batch.
+* for every golden configuration — each registered backend, plus
+  ``bwamem`` behind the batch-capable ``myers`` gate — the driver's
+  batch dispatch order and the per-candidate fallback order produce
+  bit-identical ``MappedRead``s and counters: batching is a scheduling
+  choice, not a semantic one;
+* an engine with an ``extend_batch`` hook receives one cross-read
+  dispatch per ``align_batch``, traced as an ``extend_batch`` span with
+  its lane count in the ``pipeline_batch_lanes`` histogram.
 """
 
 import dataclasses
@@ -18,23 +17,12 @@ import dataclasses
 import pytest
 
 from repro.align.records import AlignmentStats
-from repro.pipeline.bitvector import (
-    BatchedBitvectorEngine,
-    BitvectorAligner,
-    BitvectorConfig,
-    ScalarBitvectorEngine,
-)
-from repro.pipeline.common import Candidate
-from repro.pipeline.registry import backend_names, get_backend
+from repro.pipeline.registry import get_backend
 from repro.pipeline.stages import PipelineDriver
 from repro.telemetry import telemetry_session
 
-from tests.pipeline.golden_fixtures import (
-    EDIT_BOUND,
-    SEGMENT_COUNT,
-    mapping_rows,
-)
-from tests.pipeline.test_backend_goldens import CONFIGS
+from tests.pipeline.golden_fixtures import mapping_rows
+from tests.pipeline.test_backend_goldens import GOLDENS
 
 
 def stats_dict(stats: AlignmentStats):
@@ -46,56 +34,15 @@ def batch(simulated_reads):
     return [(s.name, s.sequence) for s in simulated_reads]
 
 
-class TestKernelIdentity:
-    """Scalar reference kernel vs batched NumPy lanes: bit-identical."""
-
-    def test_batched_equals_scalar(self, small_reference, batch):
-        scalar = BitvectorAligner(
-            small_reference,
-            BitvectorConfig(edit_bound=EDIT_BOUND, kernel="scalar"),
-        )
-        batched = BitvectorAligner(
-            small_reference,
-            BitvectorConfig(edit_bound=EDIT_BOUND, kernel="batched"),
-        )
-        scalar_mapped = scalar.align_batch(batch)
-        batched_mapped = batched.align_batch(batch)
-        assert mapping_rows(batched_mapped) == mapping_rows(scalar_mapped)
-        assert stats_dict(batched.stats) == stats_dict(scalar.stats)
-
-    def test_unknown_kernel_rejected(self, small_reference):
-        with pytest.raises(ValueError, match="unknown bitvector kernel"):
-            BitvectorAligner(
-                small_reference, BitvectorConfig(kernel="simd")
-            )
-
-    def test_kernel_stats_surface(self, small_reference, batch):
-        aligner = BitvectorAligner(
-            small_reference, BitvectorConfig(edit_bound=EDIT_BOUND)
-        )
-        aligner.align_batch(batch)
-        kstats = aligner.kernel_stats
-        assert kstats.batches >= 1
-        assert kstats.lanes == aligner.stats.extensions
-        assert kstats.kernel_lanes <= kstats.lanes
-        assert kstats.windows_fetched <= kstats.windows_requested
-        assert 0.0 <= kstats.window_dedupe_rate <= 1.0
-
-    def test_kernel_stats_never_leak_into_alignment_stats(self):
-        field_names = {f.name for f in dataclasses.fields(AlignmentStats)}
-        assert not field_names & {"batches", "lanes", "windows_requested"}
-
-
-@pytest.mark.parametrize("backend", backend_names())
+@pytest.mark.parametrize("backend", tuple(GOLDENS))
 class TestBatchDispatchIdentity:
-    """Batch dispatch vs per-candidate fallback, every registered backend."""
+    """Batch dispatch vs per-candidate fallback, every golden config."""
 
     def _drivers(self, backend, reference):
-        config = CONFIGS[backend]()
-        batched = get_backend(backend).build(reference, config, None)._driver
-        fallback_stages = (
-            get_backend(backend).build(reference, config, None)._driver.stages
-        )
+        name, factory = GOLDENS[backend]
+        spec = get_backend(name)
+        batched = spec.build(reference, factory(), None)._driver
+        fallback_stages = spec.build(reference, factory(), None)._driver.stages
         fallback = PipelineDriver(fallback_stages, batch_dispatch=False)
         return batched, fallback
 
@@ -115,53 +62,37 @@ class TestBatchDispatchIdentity:
         assert stats_dict(batched.stats) == stats_dict(fallback.stats)
 
 
-class TestWindowDedupe:
-    """The dedupe counters on a crafted duplicate-heavy extend_batch."""
+class LoopingBatchEngine:
+    """Pure batching over an existing engine: ``extend_batch`` loops."""
 
-    def test_duplicate_jobs_share_windows_and_lanes(self, small_reference):
-        engine = BatchedBitvectorEngine(
-            small_reference, EDIT_BOUND, BitvectorConfig().scheme
-        )
-        oriented = small_reference.fetch(500, 601)
-        candidate = Candidate(window_start=500, reverse=False, seed_length=40)
-        stats = AlignmentStats()
-        results = engine.extend_batch([(oriented, candidate)] * 4, stats)
-        assert len(results) == 4
-        assert all(r is not None for r in results)
-        kstats = engine.kernel_stats
-        assert kstats.windows_requested == 4
-        assert kstats.windows_fetched == 1
-        assert kstats.window_dedupe_rate == pytest.approx(0.75)
-        assert kstats.lanes == 4
-        assert kstats.kernel_lanes == 1  # one unique (pattern, window) lane
-        # Shared traceback still charges every job's counters identically.
-        assert stats.extensions == 4
-        assert stats.candidates_survived == 4
+    def __init__(self, inner):
+        self.inner = inner
+        self.lanes = 0
 
-    def test_scalar_engine_counts_every_fetch(self, small_reference):
-        engine = ScalarBitvectorEngine(
-            small_reference, EDIT_BOUND, BitvectorConfig().scheme
-        )
-        oriented = small_reference.fetch(500, 601)
-        candidate = Candidate(window_start=500, reverse=False, seed_length=40)
-        stats = AlignmentStats()
-        for _ in range(3):
-            assert engine.extend(oriented, candidate, stats) is not None
-        kstats = engine.kernel_stats
-        assert kstats.windows_requested == 3
-        assert kstats.windows_fetched == 3
-        assert kstats.window_dedupe_rate == 0.0
+    def extend(self, oriented, candidate, stats):
+        return self.inner.extend(oriented, candidate, stats)
+
+    def extend_batch(self, jobs, stats):
+        self.lanes += len(jobs)
+        return [self.extend(oriented, candidate, stats)
+                for oriented, candidate in jobs]
 
 
 class TestBatchTelemetry:
     def test_batch_histogram_and_stage_span(self, small_reference, batch):
+        aligner = get_backend("bwamem").build(
+            small_reference, GOLDENS["bwamem"][1](), None
+        )
+        stages = aligner._driver.stages
+        engine = LoopingBatchEngine(stages.extender)
         with telemetry_session() as telemetry:
-            aligner = BitvectorAligner(
-                small_reference, BitvectorConfig(edit_bound=EDIT_BOUND)
+            driver = PipelineDriver(
+                dataclasses.replace(stages, extender=engine)
             )
-            aligner.align_batch(batch)
+            mapped = driver.align_batch(batch)
+        assert mapping_rows(mapped) == mapping_rows(aligner.align_batch(batch))
         lanes = telemetry.metrics.get("pipeline_batch_lanes")
-        assert lanes.count >= 1
-        assert lanes.total == aligner.kernel_stats.lanes
+        assert lanes.count == 1
+        assert lanes.total == engine.lanes == driver.stats.extensions
         stage_names = {name for __, name, __ts, __pid in telemetry.tracer.events}
         assert "extend_batch" in stage_names

@@ -7,12 +7,11 @@ Three promises the filter-cascade refactor makes at the driver level:
   edit distance the extension engine enforces);
 * **dispatch identity** — batch-dispatched cascade filtering and the
   per-candidate fallback produce bit-identical mappings *and* identical
-  shared/per-stage counters (batching is a scheduling choice);
+  shared/per-stage counters (batching is a scheduling choice), on both
+  sides of the ``myers`` stage's scalar/NumPy switch and for reads
+  carrying ``N`` runs;
 * **order invariance** — stage order changes cost, never verdicts, so
   any permutation of the cascade maps identically.
-
-Plus the legacy bridge: ``GenAxConfig(prefilter=True)`` is exactly the
-one-stage ``("myers",)`` cascade.
 """
 
 import dataclasses
@@ -20,8 +19,8 @@ import itertools
 
 import pytest
 
+import repro.filters.myers as myers_stage
 from repro.filters import DEFAULT_CASCADE
-from repro.pipeline.bitvector import BitvectorAligner, BitvectorConfig
 from repro.pipeline.bwamem import BwaMemConfig
 from repro.pipeline.genax import GenAxConfig
 from repro.pipeline.registry import backend_names, get_backend
@@ -43,9 +42,6 @@ CASCADE_CONFIGS = {
         edit_bound=EDIT_BOUND, segment_count=SEGMENT_COUNT, filters=filters
     ),
     "bwamem": lambda filters: BwaMemConfig(band=EDIT_BOUND, filters=filters),
-    "bitvector": lambda filters: BitvectorConfig(
-        edit_bound=EDIT_BOUND, filters=filters
-    ),
 }
 
 
@@ -110,13 +106,35 @@ class TestCascadeLossless:
         assert cascade_rejects <= filtered.stats.candidates_filtered
 
 
+@pytest.fixture
+def kernel_dispatches(monkeypatch):
+    """Lane count of every NumPy dispatch the ``myers`` stage makes."""
+    lanes = []
+    kernel = myers_stage.batch_semiglobal_min
+
+    def spy(patterns, texts):
+        lanes.append(len(patterns))
+        return kernel(patterns, texts)
+
+    monkeypatch.setattr(myers_stage, "batch_semiglobal_min", spy)
+    return lanes
+
+
+def with_n_runs(reads):
+    """Every third read gets an ``N`` run the 2-bit batch codec rejects."""
+    return [
+        (name, seq[:40] + "NNNNN" + seq[45:] if index % 3 == 0 else seq)
+        for index, (name, seq) in enumerate(reads)
+    ]
+
+
 @pytest.mark.parametrize("backend", CASCADE_BACKENDS)
 class TestCascadeDispatchIdentity:
     """Batched cascade dispatch vs per-candidate fallback, per backend."""
 
-    def _drivers(self, backend, reference):
-        batched_aligner = build_aligner(backend, reference, DEFAULT_CASCADE)
-        fallback_aligner = build_aligner(backend, reference, DEFAULT_CASCADE)
+    def _drivers(self, backend, reference, filters=DEFAULT_CASCADE):
+        batched_aligner = build_aligner(backend, reference, filters)
+        fallback_aligner = build_aligner(backend, reference, filters)
         fallback = PipelineDriver(
             fallback_aligner._driver.stages, batch_dispatch=False
         )
@@ -135,52 +153,62 @@ class TestCascadeDispatchIdentity:
             fallback_aligner
         )
 
+    # 4 reads give 13 myers lanes (scalar calls); 72 reads give 200+
+    # lanes in one dispatch (the NumPy kernel).
+    @pytest.mark.parametrize("read_count", [4, 72])
+    def test_myers_gate_identical_around_batch_switch(
+        self, backend, small_reference, batch, read_count, kernel_dispatches
+    ):
+        reads = (batch * 3)[:read_count]
+        batched_aligner, fallback_aligner, fallback = self._drivers(
+            backend, small_reference, ("myers",)
+        )
+        batched = batched_aligner._driver
+        assert mapping_rows(batched.align_batch(reads)) == mapping_rows(
+            fallback.align_batch(reads)
+        )
+        checked = batched.stats.candidates_filtered + (
+            batched.stats.candidates_survived
+        )
+        if read_count == 4:
+            assert checked < myers_stage.BATCH_MIN_LANES
+            assert kernel_dispatches == []
+        else:
+            assert kernel_dispatches == [checked]
+        # prefilter_cycles and the cascade verdict counters are part of
+        # the shared stats; the per-stage counters live in the report.
+        assert stats_dict(batched.stats) == stats_dict(fallback.stats)
+        assert stage_reports(batched_aligner) == stage_reports(
+            fallback_aligner
+        )
+
+    def test_n_runs_in_a_kernel_sized_dispatch(
+        self, backend, small_reference, batch, kernel_dispatches
+    ):
+        reads = with_n_runs(batch * 3)
+        batched_aligner = build_aligner(backend, small_reference, ("myers",))
+        per_read = build_aligner(backend, small_reference, ("myers",))
+        assert mapping_rows(batched_aligner.align_batch(reads)) == (
+            mapping_rows(per_read.align_reads(reads))
+        )
+        assert stats_dict(batched_aligner.stats) == stats_dict(per_read.stats)
+        # ACGT lanes still filled one NumPy dispatch; the N lanes did not.
+        checked = batched_aligner.stats.candidates_filtered + (
+            batched_aligner.stats.candidates_survived
+        )
+        assert len(kernel_dispatches) == 1
+        assert myers_stage.BATCH_MIN_LANES <= kernel_dispatches[0] < checked
+
 
 class TestOrderInvariance:
     """Stage order changes cost, never the surviving mapping set."""
 
     def test_every_permutation_maps_identically(self, small_reference, batch):
-        baseline = BitvectorAligner(
-            small_reference, BitvectorConfig(edit_bound=EDIT_BOUND)
-        )
+        baseline = build_aligner("bwamem", small_reference, ("myers",))
         expected = mapping_rows(baseline.align_batch(batch))
         for order in itertools.permutations(DEFAULT_CASCADE):
-            aligner = BitvectorAligner(
-                small_reference,
-                BitvectorConfig(edit_bound=EDIT_BOUND, filters=order),
-            )
+            aligner = build_aligner("bwamem", small_reference, order)
             assert mapping_rows(aligner.align_batch(batch)) == expected, order
-
-
-class TestLegacyPrefilterBridge:
-    """GenAxConfig(prefilter=True) is the one-stage myers cascade."""
-
-    def test_prefilter_flag_equals_myers_cascade(self, small_reference, batch):
-        subset = batch[:8]
-        legacy = get_backend("genax").build(
-            small_reference,
-            GenAxConfig(
-                edit_bound=EDIT_BOUND,
-                segment_count=SEGMENT_COUNT,
-                prefilter=True,
-            ),
-            None,
-        )
-        modern = get_backend("genax").build(
-            small_reference,
-            GenAxConfig(
-                edit_bound=EDIT_BOUND,
-                segment_count=SEGMENT_COUNT,
-                filters=("myers",),
-            ),
-            None,
-        )
-        assert mapping_rows(legacy.align_batch(subset)) == mapping_rows(
-            modern.align_batch(subset)
-        )
-        assert stats_dict(legacy.stats) == stats_dict(modern.stats)
-        assert legacy.cascade is not None
-        assert legacy.cascade.stage_names == ("myers",)
 
 
 class TestCascadeTelemetry:
@@ -188,12 +216,7 @@ class TestCascadeTelemetry:
         self, small_reference, batch
     ):
         with telemetry_session() as telemetry:
-            aligner = BitvectorAligner(
-                small_reference,
-                BitvectorConfig(
-                    edit_bound=EDIT_BOUND, filters=DEFAULT_CASCADE
-                ),
-            )
+            aligner = build_aligner("bwamem", small_reference, DEFAULT_CASCADE)
             aligner.align_batch(batch)
         depths = telemetry.metrics.get("pipeline_cascade_depth")
         checked = dict(aligner.cascade.report())["shouldered"].checked

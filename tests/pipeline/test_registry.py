@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from repro.align.records import AlignmentStats
-from repro.pipeline.bitvector import BitvectorConfig
 from repro.pipeline.bwamem import BwaMemAligner, BwaMemConfig
 from repro.pipeline.genax import GenAxAligner, GenAxConfig
 from repro.pipeline.registry import (
@@ -26,7 +25,7 @@ README = Path(__file__).parents[2] / "README.md"
 
 class TestLookup:
     def test_registered_names_in_order(self):
-        assert backend_names() == ("genax", "bwamem", "bitvector", "longread")
+        assert backend_names() == ("genax", "bwamem", "longread")
 
     def test_get_backend_round_trip(self):
         for name in backend_names():
@@ -39,11 +38,10 @@ class TestLookup:
     def test_backend_for_config(self):
         assert backend_for_config(GenAxConfig()).name == "genax"
         assert backend_for_config(BwaMemConfig()).name == "bwamem"
-        assert backend_for_config(BitvectorConfig()).name == "bitvector"
-        # Both kernel variants share one config type -> one backend name.
+        # A cascade is a config field, not a backend of its own.
         assert (
-            backend_for_config(BitvectorConfig(kernel="scalar")).name
-            == "bitvector"
+            backend_for_config(BwaMemConfig(filters=("myers",))).name
+            == "bwamem"
         )
 
     def test_backend_for_unknown_config_type(self):
@@ -74,7 +72,7 @@ class TestFactories:
         for name, expects_lanes in (
             ("genax", True),
             ("bwamem", False),
-            ("bitvector", False),
+            ("longread", False),
         ):
             spec = get_backend(name)
             aligner = build_aligner(name, tiny_reference)

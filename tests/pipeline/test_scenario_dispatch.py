@@ -13,7 +13,6 @@ budget problem without changing what this test pins.
 import pytest
 
 from repro.genome.reads import build_profile_reads
-from repro.pipeline.bitvector import BitvectorConfig
 from repro.pipeline.bwamem import BwaMemConfig
 from repro.pipeline.genax import GenAxConfig
 from repro.pipeline.longread import LongReadConfig
@@ -22,22 +21,28 @@ from repro.pipeline.registry import backend_names, build_aligner
 PROFILES = ("nanopore", "paired_end")
 
 
-def quick_config(backend):
-    return {
-        "genax": lambda: GenAxConfig(
-            k=13, edit_bound=12, segment_count=4, max_candidates=8
-        ),
-        "bwamem": lambda: BwaMemConfig(k=13, band=12, max_candidates=8),
-        "bitvector": lambda: BitvectorConfig(
-            k=13, edit_bound=12, max_candidates=8
-        ),
-        "longread": lambda: LongReadConfig(k=13),
-    }[backend]()
+#: Quick operating point per run: name -> (backend, config factory).
+#: ``bwamem-myers`` adds the batch-capable ``myers`` gate to ``bwamem``.
+QUICK_RUNS = {
+    "genax": ("genax", lambda: GenAxConfig(
+        k=13, edit_bound=12, segment_count=4, max_candidates=8
+    )),
+    "bwamem": ("bwamem", lambda: BwaMemConfig(k=13, band=12, max_candidates=8)),
+    "bwamem-myers": ("bwamem", lambda: BwaMemConfig(
+        k=13, band=12, max_candidates=8, filters=("myers",)
+    )),
+    "longread": ("longread", lambda: LongReadConfig(k=13)),
+}
+
+
+def build_run(name, reference):
+    backend, factory = QUICK_RUNS[name]
+    return build_aligner(backend, reference, factory())
 
 
 def test_every_backend_has_a_quick_config():
     for backend in backend_names():
-        assert quick_config(backend) is not None
+        assert QUICK_RUNS[backend][0] == backend
 
 
 @pytest.fixture(scope="module")
@@ -50,13 +55,13 @@ def profile_reads(tiny_reference):
 
 
 @pytest.mark.parametrize("profile", PROFILES)
-@pytest.mark.parametrize("backend", backend_names())
+@pytest.mark.parametrize("backend", tuple(QUICK_RUNS))
 def test_batch_matches_per_read(
     backend, profile, tiny_reference, profile_reads
 ):
     reads = profile_reads[profile]
-    per_read = build_aligner(backend, tiny_reference, quick_config(backend))
-    batch = build_aligner(backend, tiny_reference, quick_config(backend))
+    per_read = build_run(backend, tiny_reference)
+    batch = build_run(backend, tiny_reference)
     singles = per_read.align_reads(reads)
     batched = batch.align_batch(reads)
     assert len(singles) == len(batched) == len(reads)
@@ -72,15 +77,11 @@ def test_batch_matches_per_read(
     assert per_read.stats == batch.stats
 
 
-@pytest.mark.parametrize("backend", backend_names())
+@pytest.mark.parametrize("backend", tuple(QUICK_RUNS))
 def test_runs_are_deterministic(backend, tiny_reference, profile_reads):
     reads = profile_reads["paired_end"]
-    first = build_aligner(
-        backend, tiny_reference, quick_config(backend)
-    ).align_reads(reads)
-    second = build_aligner(
-        backend, tiny_reference, quick_config(backend)
-    ).align_reads(reads)
+    first = build_run(backend, tiny_reference).align_reads(reads)
+    second = build_run(backend, tiny_reference).align_reads(reads)
     assert [(m.position, m.reverse, m.score) for m in first] == [
         (m.position, m.reverse, m.score) for m in second
     ]

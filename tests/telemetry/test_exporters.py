@@ -277,53 +277,33 @@ class TestRenderProfile:
     def test_filter_stage_rows_rendered_from_published_cascade(self):
         # publish_cascade names: <backend>_filter_<stage>_<field>.
         registry = MetricRegistry()
-        registry.counter("bitvector_filter_shouldered_checked").inc(31)
-        registry.counter("bitvector_filter_shouldered_rejected").inc(0)
-        registry.counter("bitvector_filter_shouldered_false_accepts").inc(12)
-        registry.counter("bitvector_filter_shouldered_cycles").inc(62)
+        registry.counter("bwamem_filter_shouldered_checked").inc(31)
+        registry.counter("bwamem_filter_shouldered_rejected").inc(0)
+        registry.counter("bwamem_filter_shouldered_false_accepts").inc(12)
+        registry.counter("bwamem_filter_shouldered_cycles").inc(62)
         registry.gauge(
-            "bitvector_filter_shouldered_reject_fraction"
+            "bwamem_filter_shouldered_reject_fraction"
         ).set_max(0.0)
-        registry.counter("bitvector_filter_myers_checked").inc(31)
-        registry.counter("bitvector_filter_myers_rejected").inc(12)
-        registry.gauge("bitvector_filter_myers_reject_fraction").set_max(
+        registry.counter("bwamem_filter_myers_checked").inc(31)
+        registry.counter("bwamem_filter_myers_rejected").inc(12)
+        registry.gauge("bwamem_filter_myers_reject_fraction").set_max(
             12 / 31
         )
         table = render_profile(registry, 1.0)
         shouldered_row = next(
             l for l in table.splitlines()
-            if l.startswith("bitvector/shouldered")
+            if l.startswith("bwamem/shouldered")
         )
         fields = shouldered_row.split()
         assert fields[1:] == ["31", "0", "12", "0.0%"]
         myers_row = next(
-            l for l in table.splitlines() if l.startswith("bitvector/myers")
+            l for l in table.splitlines() if l.startswith("bwamem/myers")
         )
         assert "38.7%" in myers_row
-
-    def test_kernel_dedupe_line_rendered(self):
-        registry = MetricRegistry()
-        registry.counter("bitvector_kernel_batches").inc(2)
-        registry.counter("bitvector_kernel_lanes").inc(40)
-        registry.counter("bitvector_kernel_lanes_scored").inc(25)
-        registry.counter("bitvector_kernel_windows_requested").inc(40)
-        registry.counter("bitvector_kernel_windows_fetched").inc(30)
-        registry.gauge(
-            "bitvector_kernel_window_dedupe_rate"
-        ).set_max(0.25)
-        table = render_profile(registry, 1.0)
-        kernel_line = next(
-            l for l in table.splitlines() if l.startswith("kernel[bitvector]")
-        )
-        assert "2 batches" in kernel_line
-        assert "25/40 lanes scored" in kernel_line
-        assert "30/40 windows fetched" in kernel_line
-        assert "25.0% deduped" in kernel_line
 
     def test_no_filter_or_kernel_lines_without_metrics(self):
         table = render_profile(MetricRegistry(), 1.0)
         assert "filter stage" not in table
-        assert "kernel[" not in table
 
     def test_table_reconciles_with_merged_registry(self):
         # The --jobs N acceptance check in miniature: totals rendered from
